@@ -195,11 +195,11 @@ func cmdSelect(args []string) error {
 				return err
 			}
 		}
-		params, err = core.SelectTransientFaultSiteFiltered(profile, g,
-			nvbitfi.BitFlipModel(*bitflip), m.EligibleOp, rng)
+		p, err := core.NewSampler(profile, g, true, m.EligibleOp).Draw(nvbitfi.BitFlipModel(*bitflip), rng)
 		if err != nil {
 			return err
 		}
+		params = &p
 	} else {
 		g := sass.GroupGPPR
 		if *group != "" {

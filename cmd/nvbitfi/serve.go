@@ -51,7 +51,15 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: serve.NewServer(coord)}
+	// Long-poll event requests hold their response open for up to 25s and
+	// SSE streams for as long as the client stays, so only the read side
+	// gets a short deadline; WriteTimeout stays unset.
+	srv := &http.Server{
+		Handler:           serve.NewServer(coord),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	log.Printf("nvbitfi serve: listening on http://%s (journal %s, %d local workers)",
 		ln.Addr(), *journal, *workers)
 

@@ -96,11 +96,20 @@ func AdaptiveStrata(golden *GoldenResult, profile *core.Profile, cfg TransientCa
 	if cfg.TargetCI <= 0 {
 		return nil, nil
 	}
-	st := &stratifier{cl: newClasser(golden.Kernels), noCertain: noCertainStrata(cfg)}
+	smp, err := newSampler(profile, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return adaptiveStrata(&stratifier{cl: newClasser(golden.Kernels), noCertain: noCertainStrata(cfg)}, smp, cfg)
+}
+
+// adaptiveStrata is AdaptiveStrata over an already-built stratifier and
+// sampler, which NewShardPlan shares with the campaign it plans.
+func adaptiveStrata(st *stratifier, smp *core.Sampler, cfg TransientCampaignConfig) ([]StratumWeight, error) {
 	counts := make(map[string]*StratumWeight)
 	order := make([]string, 0, 8)
 	for s := 0; s < cfg.NumShards(); s++ {
-		params, err := SelectShard(profile, cfg, s)
+		params, err := selectShard(smp, cfg, s)
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +200,7 @@ func runAdaptiveCampaign(ctx context.Context, plan *ShardPlan) (*CampaignResult,
 	achieved := math.Inf(1)
 	last := -1
 	for s := 0; s < cfg.NumShards(); s++ {
-		params, err := SelectShard(plan.profile, cfg, s)
+		params, err := selectShard(plan.smp, cfg, s)
 		if err != nil {
 			return nil, err
 		}

@@ -457,7 +457,7 @@ type TransientCampaignConfig struct {
 	// durations measure interpreter time, not scheduler contention — the
 	// mode for Figure 4-style overhead measurements.
 	TimingFidelity bool
-	// ResolveSites selects faults with core.SelectTransientFaultSite: the
+	// ResolveSites selects faults with a site-resolving core.Sampler: the
 	// same seeded stream and the same site distribution, but every parameter
 	// tuple carries the static instruction index it landed on. Requires a
 	// profile with site data.

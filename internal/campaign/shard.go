@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cuda"
 	"repro/internal/faultmodel"
+	"repro/internal/sass"
 )
 
 // Sharded fault selection. A campaign's experiments are split into fixed-
@@ -60,57 +61,75 @@ func modelSeed(seed int64, model string) int64 {
 // for any shard it leases. A non-default fault model narrows the site
 // population to its eligible opcodes and shifts the seed by the model name;
 // the per-experiment stream shape (one Int63n, two Float64) is unchanged.
+// Each call indexes the profile afresh; a ShardPlan indexes it once.
 func SelectShard(profile *core.Profile, cfg TransientCampaignConfig, shard int) ([]core.TransientParams, error) {
 	cfg = cfg.withDefaults()
-	if shard < 0 || shard >= cfg.NumShards() {
-		return nil, fmt.Errorf("campaign: shard %d out of range (campaign has %d shards)", shard, cfg.NumShards())
+	if err := checkShard(cfg, shard); err != nil {
+		return nil, err
 	}
-	var model faultmodel.Model
+	smp, err := newSampler(profile, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return selectShard(smp, cfg, shard)
+}
+
+// newSampler indexes the profile for a defaults-applied config's selection:
+// site-resolved whenever an accelerator reasons about static sites, and
+// filtered to the eligible opcodes of a non-default fault model.
+func newSampler(profile *core.Profile, cfg TransientCampaignConfig) (*core.Sampler, error) {
+	var eligible func(sass.Op) bool
 	if cfg.Model != "" {
 		m, err := faultmodel.Lookup(cfg.Model)
 		if err != nil {
 			return nil, err
 		}
-		model = m
+		eligible = m.EligibleOp
 	}
+	resolve := cfg.ResolveSites || cfg.Prune || cfg.Checkpoint || cfg.Classes || cfg.TargetCI > 0
+	return core.NewSampler(profile, cfg.Group, resolve, eligible), nil
+}
+
+func checkShard(cfg TransientCampaignConfig, shard int) error {
+	if shard < 0 || shard >= cfg.NumShards() {
+		return fmt.Errorf("campaign: shard %d out of range (campaign has %d shards)", shard, cfg.NumShards())
+	}
+	return nil
+}
+
+// selectShard draws one in-range shard's parameter tuples from a sampler
+// built for the defaults-applied cfg.
+func selectShard(smp *core.Sampler, cfg TransientCampaignConfig, shard int) ([]core.TransientParams, error) {
 	lo, hi := cfg.ShardRange(shard)
 	rng := rand.New(rand.NewSource(ShardSeed(modelSeed(cfg.Seed, cfg.Model), shard)))
-	resolve := cfg.ResolveSites || cfg.Prune || cfg.Checkpoint || cfg.Classes || cfg.TargetCI > 0
 	params := make([]core.TransientParams, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		var p *core.TransientParams
-		var err error
-		if model != nil {
-			p, err = core.SelectTransientFaultSiteFiltered(profile, cfg.Group, cfg.BitFlip, model.EligibleOp, rng)
-		} else if resolve {
-			p, err = core.SelectTransientFaultSite(profile, cfg.Group, cfg.BitFlip, rng)
-		} else {
-			p, err = core.SelectTransientFault(profile, cfg.Group, cfg.BitFlip, rng)
-		}
+		p, err := smp.Draw(cfg.BitFlip, rng)
 		if err != nil {
 			return nil, err
 		}
-		params = append(params, *p)
+		params = append(params, p)
 	}
 	return params, nil
 }
 
 // ShardPlan is the per-job execution state a campaign shares across its
-// shards: the runner, the golden reference, the profile, and — when the
-// config asks for them — the static pruner and the recorded golden trace.
+// shards: the runner, the golden reference, the profile's site sampler,
+// and — when the config asks for them — the static pruner and the
+// recorded golden trace.
 // Building the plan once and running many shards against it is what both
 // the in-process campaign and a service worker do, so the two paths cannot
 // drift: an experiment executes identically whether its shard ran locally
 // or was leased over HTTP.
 type ShardPlan struct {
-	runner  Runner
-	w       Workload
-	golden  *GoldenResult
-	profile *core.Profile
-	cfg     TransientCampaignConfig
-	trace   *cuda.Trace
-	pr      *pruner
-	cl      *classer
+	runner Runner
+	w      Workload
+	golden *GoldenResult
+	smp    *core.Sampler
+	cfg    TransientCampaignConfig
+	trace  *cuda.Trace
+	pr     *pruner
+	cl     *classer
 	// strat and weights are set when the config enables adaptive stratified
 	// sampling (TargetCI > 0): strat assigns each resolved site to its
 	// stratum, weights is the full-selection stratum composition the
@@ -135,7 +154,7 @@ func NewShardPlan(r Runner, w Workload, golden *GoldenResult, profile *core.Prof
 		// the runner the submitting process happened to build.
 		r.NoXlate = true
 	}
-	plan := &ShardPlan{runner: r, w: w, golden: golden, profile: profile, cfg: cfg}
+	plan := &ShardPlan{runner: r, w: w, golden: golden, cfg: cfg}
 	if cfg.Model != "" {
 		m, err := faultmodel.Lookup(cfg.Model)
 		if err != nil {
@@ -163,6 +182,11 @@ func NewShardPlan(r Runner, w Workload, golden *GoldenResult, profile *core.Prof
 		plan.model = m
 		plan.env = ModelEnv(r, golden, profile)
 	}
+	smp, err := newSampler(profile, cfg)
+	if err != nil {
+		return nil, err
+	}
+	plan.smp = smp
 	if cfg.Prune {
 		if golden.Kernels == nil {
 			return nil, fmt.Errorf("campaign: prune requested but the golden result carries no kernels; rebuild it with Runner.Golden")
@@ -187,11 +211,9 @@ func NewShardPlan(r Runner, w Workload, golden *GoldenResult, profile *core.Prof
 			cl = newClasser(golden.Kernels)
 		}
 		plan.strat = &stratifier{cl: cl, noCertain: noCertainStrata(cfg)}
-		weights, err := AdaptiveStrata(golden, profile, cfg)
-		if err != nil {
+		if plan.weights, err = adaptiveStrata(plan.strat, smp, cfg); err != nil {
 			return nil, err
 		}
-		plan.weights = weights
 	}
 	if cfg.Checkpoint {
 		stride := cfg.CkptStride
@@ -218,7 +240,7 @@ func (pl *ShardPlan) NumShards() int { return pl.cfg.NumShards() }
 func (pl *ShardPlan) selectAll() ([]core.TransientParams, error) {
 	params := make([]core.TransientParams, 0, pl.cfg.Injections)
 	for s := 0; s < pl.cfg.NumShards(); s++ {
-		shard, err := SelectShard(pl.profile, pl.cfg, s)
+		shard, err := selectShard(pl.smp, pl.cfg, s)
 		if err != nil {
 			return nil, err
 		}
@@ -366,7 +388,10 @@ func (pl *ShardPlan) runChunkClassed(ctx context.Context, params []core.Transien
 // degradation: a shard either completes or fails as a unit, because the
 // service retries failed shards whole.
 func (pl *ShardPlan) RunShard(ctx context.Context, shard int) ([]RunResult, error) {
-	params, err := SelectShard(pl.profile, pl.cfg, shard)
+	if err := checkShard(pl.cfg, shard); err != nil {
+		return nil, err
+	}
+	params, err := selectShard(pl.smp, pl.cfg, shard)
 	if err != nil {
 		return nil, err
 	}

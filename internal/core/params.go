@@ -33,7 +33,7 @@ type TransientParams struct {
 	BitPatternValue float64
 
 	// SiteResolved marks a parameter set whose selection was resolved to a
-	// static instruction at selection time (SelectTransientFaultSite):
+	// static instruction at selection time (a site-resolving Sampler):
 	// StaticInstrIdx names the instruction and InstrCount counts eligible
 	// executions of that instruction only, rather than of the whole group.
 	// The zero value preserves the paper's dynamic-index semantics.

@@ -155,28 +155,33 @@ func siteProfile() *Profile {
 	}
 }
 
+// selectSite draws one site-resolved fault from a fresh Sampler.
+func selectSite(p *Profile, g sass.Group, bf BitFlipModel, rng *rand.Rand) (TransientParams, error) {
+	return NewSampler(p, g, true, nil).Draw(bf, rng)
+}
+
 // TestSelectSiteSameStream: site-resolved selection consumes the RNG
-// stream exactly like the legacy selector, so a fixed seed picks the same
+// stream exactly like unresolved selection, so a fixed seed picks the same
 // dynamic kernel and the same register/bit-pattern draws.
 func TestSelectSiteSameStream(t *testing.T) {
 	p := siteProfile()
 	for seed := int64(0); seed < 200; seed++ {
-		legacy, err := SelectTransientFault(p, sass.GroupGP, FlipSingleBit, rand.New(rand.NewSource(seed)))
+		plain, err := SelectTransientFault(p, sass.GroupGP, FlipSingleBit, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		site, err := SelectTransientFaultSite(p, sass.GroupGP, FlipSingleBit, rand.New(rand.NewSource(seed)))
+		site, err := selectSite(p, sass.GroupGP, FlipSingleBit, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !site.SiteResolved {
 			t.Fatal("site selection not marked SiteResolved")
 		}
-		if site.KernelName != legacy.KernelName || site.KernelCount != legacy.KernelCount {
-			t.Fatalf("seed %d: site picked %s/%d, legacy %s/%d", seed,
-				site.KernelName, site.KernelCount, legacy.KernelName, legacy.KernelCount)
+		if site.KernelName != plain.KernelName || site.KernelCount != plain.KernelCount {
+			t.Fatalf("seed %d: site picked %s/%d, plain %s/%d", seed,
+				site.KernelName, site.KernelCount, plain.KernelName, plain.KernelCount)
 		}
-		if site.DestRegSelect != legacy.DestRegSelect || site.BitPatternValue != legacy.BitPatternValue {
+		if site.DestRegSelect != plain.DestRegSelect || site.BitPatternValue != plain.BitPatternValue {
 			t.Fatalf("seed %d: RNG streams diverged", seed)
 		}
 		// The resolved site must be an in-range instruction of the group.
@@ -202,22 +207,22 @@ func TestSelectSiteSameStream(t *testing.T) {
 
 func TestSelectSiteDeterminism(t *testing.T) {
 	p := siteProfile()
-	a, err := SelectTransientFaultSite(p, sass.GroupGPPR, FlipSingleBit, rand.New(rand.NewSource(3)))
+	a, err := selectSite(p, sass.GroupGPPR, FlipSingleBit, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectTransientFaultSite(p, sass.GroupGPPR, FlipSingleBit, rand.New(rand.NewSource(3)))
+	b, err := selectSite(p, sass.GroupGPPR, FlipSingleBit, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *a != *b {
-		t.Fatalf("same seed selected different faults:\n%+v\n%+v", *a, *b)
+	if a != b {
+		t.Fatalf("same seed selected different faults:\n%+v\n%+v", a, b)
 	}
 }
 
 func TestSelectSiteRequiresSiteData(t *testing.T) {
 	p := sampleProfile() // no site breakdown
-	if _, err := SelectTransientFaultSite(p, sass.GroupGP, FlipSingleBit, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := selectSite(p, sass.GroupGP, FlipSingleBit, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("site selection succeeded on a profile without site data")
 	}
 }

@@ -45,6 +45,9 @@ func (d *Device) runParallel(l *Launch, constBank []byte, plan *xplan, budgetN u
 	var trapLin atomic.Int64
 	trapLin.Store(int64(numBlocks))
 
+	// Page tables are read-only while the blocks run.
+	d.Mem.prepareWrites()
+
 	var wg sync.WaitGroup
 	for wkr := 0; wkr < workers; wkr++ {
 		wg.Add(1)

@@ -85,7 +85,8 @@ func (a *alloc) readPage(pg uint32) []byte {
 
 // writePage returns the bytes backing page pg for writing, materializing
 // never-written pages and copying snapshot-shared ones (the copy-on-write
-// fault path).
+// fault path). A page that is already private is returned without any
+// store, which is what lets parallel blocks share it after prepareWrites.
 func (a *alloc) writePage(pg uint32) []byte {
 	p := a.pages[pg]
 	if p == nil {
@@ -95,10 +96,24 @@ func (a *alloc) writePage(pg uint32) []byte {
 		c := getPage()
 		copy(c, p)
 		a.pages[pg] = c
+		a.shared[pg] = false
 		p = c
 	}
-	a.shared[pg] = false
 	return p
+}
+
+// prepareWrites gives every page of every allocation a private backing
+// buffer, taking the copy-on-write fault path up front. Blocks running
+// concurrently then only read the page tables: without it, two blocks
+// storing into the same missing or shared page could each install their
+// own copy, and the stores into the losing copy would be lost.
+func (m *Memory) prepareWrites() {
+	for i := range m.allocs {
+		a := &m.allocs[i]
+		for pg := range a.pages {
+			a.writePage(uint32(pg))
+		}
+	}
 }
 
 // allocBase leaves the low addresses unmapped so that computed-to-zero

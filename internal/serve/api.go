@@ -214,9 +214,20 @@ func leaseReply(rw http.ResponseWriter, err error) {
 	}
 }
 
+// maxRequestBytes caps every request body. The largest legitimate one, a
+// shard completion carrying a tally and its strata, is a few kilobytes.
+const maxRequestBytes = 1 << 20
+
+// readJSON decodes a request body into v. An oversized body is refused with
+// 413 before the handler acts on it; a malformed one with 400.
 func readJSON(rw http.ResponseWriter, req *http.Request, v any) bool {
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(rw, req.Body, maxRequestBytes))
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(rw, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: request body exceeds %d bytes", tooBig.Limit))
+			return false
+		}
 		httpError(rw, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
 		return false
 	}

@@ -637,3 +637,35 @@ func TestSSEStream(t *testing.T) {
 	cancel()
 	wg.Wait()
 }
+
+// TestOversizedBodyRefused: a request body above the API's 1 MiB cap is
+// refused with 413 and creates no job; a small malformed one still gets 400.
+func TestOversizedBodyRefused(t *testing.T) {
+	coord, err := serve.NewCoordinator(serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	srv := httptest.NewServer(serve.NewServer(coord))
+	defer srv.Close()
+
+	post := func(body string) int {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge := `{"workload":"` + strings.Repeat("a", 2<<20) + `"}`
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body answered %d, want 413", code)
+	}
+	if code := post(`{"workload":`); code != http.StatusBadRequest {
+		t.Fatalf("malformed body answered %d, want 400", code)
+	}
+	if jobs := coord.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused bodies created %d jobs", len(jobs))
+	}
+}
